@@ -142,6 +142,31 @@ fn main() {
          on the a2 workload, best was {largest_speedup:.2}x"
     );
 
+    // --- Warm planned sweep on the unanchored 2-hop lineage of the 288-fact
+    // partial 2-tree (the treelike-sweep benchmark's main goal): a circuit
+    // whose decomposition is picked by table volume, min-fill's width 14
+    // over min-degree's 20.
+    let tree = workloads::partial_k_tree_tid(200, 2, 0.05, 7);
+    let lineage = engine.lineage(&tree, &query).unwrap();
+    let w = tree.fact_weights();
+    let compiled =
+        CompiledCircuit::compile(Arc::new(lineage), EliminationHeuristic::MinDegree).unwrap();
+    let planned = compiled.run(&w, 22).unwrap();
+    let interpreted = compiled.run_interpreted(&w, 22).unwrap();
+    assert!((planned.probability - interpreted.probability).abs() < 1e-9);
+    let table_entries = compiled.sweep_plan().unwrap().table_entry_count();
+    report_value("A2", "tree_2hop_circuit_width", planned.width);
+    report_value("A2", "tree_2hop_table_entries", table_entries);
+    let mut group = criterion.benchmark_group("a2_treelike_sweep");
+    group.bench_function("planned_sweep_2tree_2hop", |b| {
+        b.iter(|| compiled.run(&w, 22).unwrap().probability)
+    });
+    group.finish();
+    summary.record(
+        "planned_sweep_2tree_2hop",
+        timed(5, || compiled.run(&w, 22).unwrap().probability),
+    );
+
     summary.write();
     criterion.final_summary();
 }

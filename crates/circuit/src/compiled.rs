@@ -21,7 +21,7 @@ use crate::weights::Weights;
 use crate::wmc::{message_passing, TreewidthWmc, WmcError, WmcReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
-use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
+use stuc_graph::elimination::EliminationHeuristic;
 use stuc_graph::graph::VertexId;
 use stuc_graph::nice::NiceDecomposition;
 use stuc_graph::repair::{repair_decomposition, RepairError};
@@ -185,7 +185,10 @@ pub struct ExtendReport {
 
 impl CompiledCircuit {
     /// Compiles `source` for repeated evaluation; its circuit graph is
-    /// decomposed with `heuristic` on first use.
+    /// decomposed on first use by [`TreewidthWmc::decompose_circuit_graph`].
+    /// `heuristic` is the first candidate ordering tried there, not
+    /// necessarily the one used: a circuit whose sweep would be costly also
+    /// tries min-fill and keeps the smaller dense-table volume.
     ///
     /// Fails with [`CircuitError::NoOutput`] if the circuit has no
     /// designated output gate. Wide circuits still compile — the width
@@ -215,7 +218,7 @@ impl CompiledCircuit {
     fn structure(&self) -> &CompiledStructure {
         self.structure.get_or_init(|| {
             let graph = TreewidthWmc::circuit_graph(&self.prepared);
-            let decomposition = decompose_with_heuristic(&graph, self.heuristic);
+            let decomposition = TreewidthWmc::decompose_circuit_graph(&graph, self.heuristic);
             CompiledStructure {
                 width: decomposition.width(),
                 bag_count: decomposition.bag_count(),
@@ -290,7 +293,9 @@ impl CompiledCircuit {
         &self.variables
     }
 
-    /// The elimination heuristic the circuit graph was decomposed with.
+    /// The elimination heuristic compiled with: the first candidate
+    /// [`TreewidthWmc::decompose_circuit_graph`] tries, not necessarily the
+    /// ordering the circuit graph was decomposed with.
     pub fn heuristic(&self) -> EliminationHeuristic {
         self.heuristic
     }

@@ -84,7 +84,8 @@ pub struct WmcReport {
 /// The treewidth-based weighted model counter ("message passing" back-end).
 #[derive(Debug, Clone)]
 pub struct TreewidthWmc {
-    /// Heuristic used to decompose the circuit graph.
+    /// The first elimination heuristic tried on the circuit graph (see
+    /// [`TreewidthWmc::decompose_circuit_graph`]).
     pub heuristic: EliminationHeuristic,
     /// Maximum accepted bag size (width + 1). Runs whose decomposition
     /// exceeds this produce [`WmcError::WidthTooLarge`] instead of taking
@@ -114,12 +115,49 @@ impl TreewidthWmc {
         g
     }
 
+    /// Decomposes a circuit graph for the counting sweep: the one place that
+    /// decides which elimination ordering a sweep's tables follow.
+    ///
+    /// A sweep costs its dense-table volume, the sum of `2^|bag|` over the
+    /// nice nodes ([`NiceDecomposition::table_volume`], what
+    /// [`crate::plan::SweepPlan::table_entry_count`] reports), so the
+    /// ordering sets the exponent of every run. The graph is decomposed with
+    /// `heuristic` first. When that volume exceeds `n²` for the `n`-vertex
+    /// graph, the order of min-fill's own selection cost, it is also
+    /// decomposed with min-fill, and the smaller volume wins (the first
+    /// candidate on a tie). On the unanchored 2-hop lineage of a 288-fact
+    /// partial 2-tree, min-degree gives width 20 and 20.2M entries where
+    /// min-fill gives width 14 and 1.34M.
+    ///
+    /// Min-fill degrades to identifier order when the ambient evaluation
+    /// budget trips mid-ordering. Callers memoize the result, so a min-fill
+    /// candidate is never taken while the budget is tripped.
+    pub fn decompose_circuit_graph(
+        graph: &Graph,
+        heuristic: EliminationHeuristic,
+    ) -> TreeDecomposition {
+        let first = decompose_with_heuristic(graph, heuristic);
+        if heuristic == EliminationHeuristic::MinFill || stuc_fault::budget::tripped() {
+            return first;
+        }
+        let n = graph.vertex_count();
+        let volume = NiceDecomposition::table_volume(&first);
+        if volume <= n.saturating_mul(n) {
+            return first;
+        }
+        let min_fill = decompose_with_heuristic(graph, EliminationHeuristic::MinFill);
+        if stuc_fault::budget::tripped() || NiceDecomposition::table_volume(&min_fill) >= volume {
+            return first;
+        }
+        min_fill
+    }
+
     /// Width of the decomposition this back-end would use for the circuit
     /// (an upper bound on the treewidth of the binarised circuit).
     pub fn estimated_width(&self, circuit: &Circuit) -> usize {
         let prepared = Self::prepare(circuit);
         let graph = Self::circuit_graph(&prepared);
-        decompose_with_heuristic(&graph, self.heuristic).width()
+        Self::decompose_circuit_graph(&graph, self.heuristic).width()
     }
 
     /// Normalises a circuit for the message-passing back-end: merges
@@ -169,7 +207,8 @@ impl TreewidthWmc {
     /// Computes the probability together with decomposition statistics.
     ///
     /// The circuit is binarised first (wide gates would otherwise force large
-    /// cliques into the circuit graph) and then decomposed with the
+    /// cliques into the circuit graph) and then decomposed by
+    /// [`TreewidthWmc::decompose_circuit_graph`], starting from the
     /// configured heuristic.
     pub fn run(&self, circuit: &Circuit, weights: &Weights) -> Result<WmcReport, WmcError> {
         circuit.output().ok_or(CircuitError::NoOutput)?;
@@ -180,7 +219,7 @@ impl TreewidthWmc {
         let prepared = Self::prepare(circuit);
         let output = prepared.output().ok_or(CircuitError::NoOutput)?;
         let graph = Self::circuit_graph(&prepared);
-        let td = decompose_with_heuristic(&graph, self.heuristic);
+        let td = Self::decompose_circuit_graph(&graph, self.heuristic);
         self.run_with_decomposition(&prepared, weights, &td, output.0)
     }
 

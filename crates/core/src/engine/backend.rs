@@ -97,7 +97,8 @@ impl Backend for SafePlanBackend {
 /// of the lineage circuit. Exact, and linear-time once the width is fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct TreewidthWmcBackend {
-    /// Heuristic used to decompose the circuit graph.
+    /// The first heuristic tried on the circuit graph (see
+    /// [`TreewidthWmc::decompose_circuit_graph`]).
     pub heuristic: EliminationHeuristic,
     /// Bag-size budget: wider circuits are refused (so Auto can fall back).
     pub max_bag_size: usize,

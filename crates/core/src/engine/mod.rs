@@ -150,7 +150,9 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Elimination heuristic for structure and circuit decompositions.
+    /// Elimination heuristic for the structure-graph decomposition, and
+    /// the first candidate for circuit-graph decompositions (see
+    /// [`stuc_circuit::wmc::TreewidthWmc::decompose_circuit_graph`]).
     pub fn heuristic(mut self, heuristic: EliminationHeuristic) -> Self {
         self.heuristic = heuristic;
         self
@@ -1257,9 +1259,14 @@ impl Engine {
     /// A cache hit amortizes the decomposition itself (the superlinear
     /// part), but still pays two linear passes per call: the `Debug`-based
     /// fingerprint and the structure-graph rebuild for collision-safe
-    /// validation. Making hits O(1) needs an incremental content hash on
-    /// each representation and a graph cached alongside the decomposition —
-    /// planned for the batching/caching PRs that build on this engine.
+    /// validation. An O(1) hit would need a content hash that each
+    /// representation maintains as it changes, and the graph cached beside
+    /// the decomposition; neither exists yet, so a hit costs O(instance).
+    ///
+    /// This is the *structure-graph* decomposition, made with the
+    /// configured heuristic alone. The lineage circuits built over it pick
+    /// their own circuit-graph decompositions by sweep cost
+    /// ([`stuc_circuit::wmc::TreewidthWmc::decompose_circuit_graph`]).
     pub fn decomposition_for<R: Representation + ?Sized>(
         &self,
         representation: &R,

@@ -112,13 +112,7 @@ impl NiceDecomposition {
 
         // Root the decomposition at bag 0 and collect children lists.
         let root_bag = BagId(0);
-        let parents = td.root_at(root_bag);
-        let mut children: Vec<Vec<BagId>> = vec![Vec::new(); td.bag_count()];
-        for b in td.bag_ids() {
-            if let Some(p) = parents[b.index()] {
-                children[p.index()].push(b);
-            }
-        }
+        let children = children_under(td, root_bag);
 
         // Post-order over bags (children before parents) computed iteratively
         // to avoid recursion-depth limits on path-shaped decompositions.
@@ -168,6 +162,55 @@ impl NiceDecomposition {
             nodes: builder.nodes,
             root,
         }
+    }
+
+    /// The dense-table volume of the nice form of `td`: the sum of
+    /// `2^|bag|` over the nodes [`NiceDecomposition::from_decomposition`]
+    /// builds, which is the entry count of a dense sweep over it. Computed
+    /// from the raw bags in `O(Σ|bag|)` without building the nice nodes, so
+    /// candidate decompositions can be compared before one is converted.
+    /// Saturates at `usize::MAX`.
+    pub fn table_volume(td: &TreeDecomposition) -> usize {
+        let pow2 = |k: usize| -> usize {
+            if k < usize::BITS as usize {
+                1 << k
+            } else {
+                usize::MAX
+            }
+        };
+        // Σ 2^k over bag sizes `sizes`: one chain of introduce or forget
+        // nodes.
+        let chain = |sizes: std::ops::Range<usize>| -> usize {
+            sizes.fold(0usize, |sum, k| sum.saturating_add(pow2(k)))
+        };
+        if td.bag_count() == 0 {
+            return 1; // the single empty leaf
+        }
+        let root_bag = BagId(0);
+        let children = children_under(td, root_bag);
+        let mut volume = 0usize;
+        for b in post_order(root_bag, &children) {
+            let bag_b = td.bag(b);
+            let kids = &children[b.index()];
+            let nodes = if kids.is_empty() {
+                // The empty leaf, then one introduce node per vertex.
+                chain(0..bag_b.len() + 1)
+            } else {
+                // Per child: forget down to the shared vertices, introduce
+                // back up to this bag; then `kids - 1` joins at this bag.
+                let mut sum = pow2(bag_b.len()).saturating_mul(kids.len() - 1);
+                for &child in kids {
+                    let bag_child = td.bag(child);
+                    let kept = bag_child.intersection(bag_b).count();
+                    sum = sum
+                        .saturating_add(chain(kept..bag_child.len()))
+                        .saturating_add(chain(kept + 1..bag_b.len() + 1));
+                }
+                sum
+            };
+            volume = volume.saturating_add(nodes);
+        }
+        volume
     }
 
     /// Checks internal consistency: child indices precede parents, bags match
@@ -221,6 +264,20 @@ impl NiceDecomposition {
         }
         Ok(())
     }
+}
+
+/// Children lists of the bag tree rooted at `root`: the one rooting that
+/// [`NiceDecomposition::from_decomposition`] builds nodes from and
+/// [`NiceDecomposition::table_volume`] counts them from.
+fn children_under(td: &TreeDecomposition, root: BagId) -> Vec<Vec<BagId>> {
+    let parents = td.root_at(root);
+    let mut children: Vec<Vec<BagId>> = vec![Vec::new(); td.bag_count()];
+    for b in td.bag_ids() {
+        if let Some(p) = parents[b.index()] {
+            children[p.index()].push(b);
+        }
+    }
+    children
 }
 
 /// Computes a post-order (children before parents) of the rooted bag tree.
@@ -427,5 +484,46 @@ mod tests {
             assert!(nd.check_consistency().is_ok());
             assert!(nd.width() <= td.width());
         }
+    }
+
+    fn built_volume(td: &TreeDecomposition) -> usize {
+        NiceDecomposition::from_decomposition(td)
+            .iter_bottom_up()
+            .map(|(_, node)| 1usize << node.bag.len())
+            .sum()
+    }
+
+    #[test]
+    fn table_volume_matches_the_built_nice_nodes() {
+        let mut graphs = vec![
+            generators::path(30),
+            generators::star(12),
+            generators::grid(4, 5),
+            generators::balanced_binary_tree(4),
+        ];
+        for seed in 0..6 {
+            graphs.push(generators::partial_k_tree(40, 3, 0.6, seed));
+            graphs.push(generators::erdos_renyi(18, 0.3, seed));
+        }
+        for g in &graphs {
+            for h in EliminationHeuristic::ALL {
+                let td = decompose_with_heuristic(g, h);
+                assert_eq!(NiceDecomposition::table_volume(&td), built_volume(&td));
+            }
+        }
+        // The empty decomposition (one leaf) and a bag-less child.
+        let mut td = TreeDecomposition::new();
+        assert_eq!(NiceDecomposition::table_volume(&td), 1);
+        let a = td.add_bag([VertexId(0), VertexId(1)]);
+        let b = td.add_bag([]);
+        td.add_tree_edge(a, b);
+        assert_eq!(NiceDecomposition::table_volume(&td), built_volume(&td));
+    }
+
+    #[test]
+    fn table_volume_saturates_on_huge_bags() {
+        let mut td = TreeDecomposition::new();
+        td.add_bag((0..70).map(VertexId));
+        assert_eq!(NiceDecomposition::table_volume(&td), usize::MAX);
     }
 }

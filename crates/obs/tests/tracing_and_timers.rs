@@ -2,8 +2,10 @@
 //!
 //! The tracer's enabled flag and event ring are process-global, so every
 //! test that touches them serializes on [`TRACER_LOCK`] and restores the
-//! default state (disabled, ring cleared) before releasing it. The
-//! stage-timer tests only use their own clocks and need no lock.
+//! default state (disabled, ring cleared) before releasing it. That
+//! includes stage-timer tests that call `StageRecorder::mark`: every mark
+//! also records a complete event into the global ring, so an unlocked
+//! recorder can land events in a concurrent tracer test's ring.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -174,6 +176,8 @@ proptest! {
 
 #[test]
 fn stage_recorder_laps_share_one_clock() {
+    // `mark` feeds the process-global tracer (see the module comment).
+    let _lock = tracer_guard();
     let mut recorder = StageRecorder::new();
     spin(Duration::from_micros(200));
     recorder.mark("first");

@@ -3,7 +3,9 @@
 //! 1e-9) on random circuits — including zero-weight variables, bags at the
 //! width-budget boundary, and circuits patched by `rewire_inputs` /
 //! `extend_or` — and `run_many` scenario lanes must equal per-scenario
-//! `run` results exactly (bitwise).
+//! `run` results exactly (bitwise). The circuit-graph decomposition the
+//! plans run over is chosen by table volume, never costlier than the
+//! configured heuristic's.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -12,8 +14,14 @@ use stuc::circuit::builder;
 use stuc::circuit::circuit::{Circuit, VarId};
 use stuc::circuit::compiled::CompiledCircuit;
 use stuc::circuit::dpll::DpllCounter;
+use stuc::circuit::enumeration::probability_by_enumeration;
 use stuc::circuit::weights::Weights;
-use stuc::graph::elimination::EliminationHeuristic;
+use stuc::circuit::wmc::TreewidthWmc;
+use stuc::core::workloads;
+use stuc::graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
+use stuc::graph::nice::NiceDecomposition;
+use stuc::query::cq::ConjunctiveQuery;
+use stuc::Engine;
 
 const BUDGET: usize = 22;
 
@@ -211,6 +219,60 @@ proptest! {
             );
         }
     }
+
+    /// The chosen circuit-graph decomposition never sweeps more table
+    /// entries than the configured heuristic's own, the compiled plan runs
+    /// over exactly that choice, and it answers like DPLL and enumeration.
+    #[test]
+    fn chosen_decomposition_is_no_costlier_and_agrees(
+        vars in 2usize..10,
+        internal in 8usize..40,
+        seed in 0u64..1000,
+        heuristic in 0usize..2,
+    ) {
+        let heuristic =
+            [EliminationHeuristic::MinDegree, EliminationHeuristic::Lexicographic][heuristic];
+        // Random circuits are already in prepared form (one input gate per
+        // variable, fan-in at most 2), so this is the graph compile sees.
+        let circuit = builder::random_circuit(vars, internal, seed);
+        let graph = TreewidthWmc::circuit_graph(&circuit);
+        let configured =
+            NiceDecomposition::table_volume(&decompose_with_heuristic(&graph, heuristic));
+        let chosen = NiceDecomposition::table_volume(&TreewidthWmc::decompose_circuit_graph(
+            &graph, heuristic,
+        ));
+        prop_assert!(chosen <= configured, "chosen {} > configured {}", chosen, configured);
+
+        let compiled = CompiledCircuit::compile(Arc::new(circuit.clone()), heuristic)
+            .expect("circuit compiles");
+        let plan = compiled.sweep_plan().expect("random circuits plan densely");
+        prop_assert_eq!(plan.table_entry_count(), chosen);
+        let weights = weights_for(&circuit, seed, 0);
+        let planned = compiled.probability(&weights, usize::MAX).expect("planned sweep runs");
+        let dpll = DpllCounter::default().probability(&circuit, &weights).expect("dpll runs");
+        let brute = probability_by_enumeration(&circuit, &weights).expect("enumeration runs");
+        prop_assert!((planned - dpll).abs() < 1e-9, "planned {} vs dpll {}", planned, dpll);
+        prop_assert!((planned - brute).abs() < 1e-9, "planned {} vs enumeration {}", planned, brute);
+    }
+}
+
+/// The unanchored 2-hop lineage of the 288-fact partial 2-tree: min-degree
+/// alone decomposes its circuit graph at width 20 and 20,199,064 table
+/// entries per sweep; the volume rule picks min-fill's width 14 and about
+/// 1.34M entries.
+#[test]
+fn two_tree_two_hop_lineage_sweeps_the_cheaper_decomposition() {
+    let tid = workloads::partial_k_tree_tid(200, 2, 0.05, 7);
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    let explanation = Engine::new().explain(&tid, &query).unwrap();
+    let circuit = explanation.circuit.expect("the goal runs on a circuit");
+    let sweep = circuit.sweep.expect("the circuit has a sweep plan");
+    assert!(circuit.width <= 14, "width {}", circuit.width);
+    assert!(
+        sweep.table_entries <= 1_400_000,
+        "table entries {}",
+        sweep.table_entries
+    );
 }
 
 /// Steady-state arena reuse is observable through the public report: the
