@@ -44,16 +44,19 @@
 //!
 //! ## Automatic strategy selection
 //!
-//! Under [`BackendPolicy::Auto`] (the default), [`Engine::evaluate`]:
+//! One planner makes the routing decision for every entry point:
+//! [`Engine::evaluate`], [`Engine::evaluate_goal`] and the re-weighting
+//! paths execute its plan, and [`Engine::explain`] renders the same plan.
+//! Under [`BackendPolicy::Auto`] (the default), the plan:
 //!
 //! 1. tries the **safe plan** when the representation offers an extensional
 //!    fast path (TID instances) and the query is hierarchical and
 //!    self-join-free — no circuit is built at all;
 //! 2. otherwise builds the lineage circuit (decomposition-guided automaton
 //!    run for TIDs, match enumeration or shared-annotation extension for the
-//!    other formalisms) and runs **treewidth WMC** when the circuit's
+//!    other formalisms) and picks **treewidth WMC** when the circuit's
 //!    estimated width fits the budget;
-//! 3. otherwise falls back to **DPLL**, which assumes nothing about width.
+//! 3. otherwise picks **DPLL**, which assumes nothing about width.
 //!
 //! Every decision is recorded in [`EvaluationReport::notes`].
 //!
@@ -79,6 +82,7 @@ pub mod cache;
 pub mod error;
 pub mod explain;
 pub(crate) mod metrics;
+mod plan;
 pub mod report;
 pub mod representation;
 pub mod text;
@@ -116,7 +120,6 @@ use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc_graph::TreeDecomposition;
 use stuc_obs::timer::{StageRecorder, Stopwatch};
 use stuc_obs::{slowlog, trace};
-use stuc_query::safe::is_hierarchical;
 
 /// Builder for [`Engine`]: heuristic, width budget, back-end policy and
 /// cache behaviour.
@@ -297,6 +300,10 @@ const _: () = {
 /// Key of the compiled-lineage cache: instance fingerprint, query
 /// fingerprint, elimination heuristic.
 type LineageKey = (u64, u64, EliminationHeuristic);
+
+/// A lineage-cache key with the exact query text and secondary instance
+/// hash that a hit must match.
+type LineageIdentity = (LineageKey, String, u64);
 
 /// Offset basis of the secondary instance hash stored in lineage-cache
 /// entries (the primary uses the standard FNV-1a basis).
@@ -648,61 +655,41 @@ impl Engine {
         if scenarios.is_empty() {
             return Ok(Vec::new());
         }
-        if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-            return Err(StucError::BackendUnsupported {
-                backend: BackendKind::SafePlan.name(),
-                reason: "weight re-evaluation runs on the lineage circuit; the extensional \
-                         safe plan reads the instance's own probabilities"
-                    .into(),
-            });
-        }
         let mut rec = StageRecorder::new();
-        let mut notes = Vec::new();
-        let (entry, cache_flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        if cache_flags.lineage_cached {
-            notes.push("compiled lineage served from cache".to_string());
+        let mut plan = self.plan(representation, query, true, &mut rec)?;
+        if let Some(error) = plan.refusal {
+            return Err(error);
         }
-        notes.extend(entry.build_notes.iter().cloned());
-
-        let use_lanes = match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::TreewidthWmc) => true,
-            BackendPolicy::Auto => entry.compiled.width() < self.config.width_budget,
-            _ => false,
-        };
-        let (probabilities, backend) = if use_lanes {
-            notes.push(format!(
+        let (entry, _) = plan
+            .lineage
+            .as_ref()
+            .expect("a reweighting plan takes the lineage route");
+        let probabilities = if plan.backend == BackendKind::TreewidthWmc {
+            plan.notes.push(format!(
                 "{} scenarios evaluated in one lane sweep",
                 scenarios.len()
             ));
             let many = entry
                 .compiled
                 .run_many(scenarios, self.config.width_budget)?;
-            (many.probabilities, BackendKind::TreewidthWmc)
+            many.probabilities
         } else {
             // No lanes implementation for this back-end: sequential loop.
-            let chosen: Box<dyn Backend> = match self.config.policy {
-                BackendPolicy::Fixed(BackendKind::Dpll) | BackendPolicy::Auto => {
-                    Box::new(DpllBackend {
-                        max_branches: self.config.dpll_max_branches,
-                    })
-                }
-                BackendPolicy::Fixed(BackendKind::Enumeration) => Box::new(EnumerationBackend),
-                _ => unreachable!("treewidth and safe-plan handled above"),
-            };
-            notes.push(format!(
+            plan.notes.push(format!(
                 "{} scenarios evaluated sequentially by {} (no lane support)",
                 scenarios.len(),
-                chosen.kind()
+                plan.backend
             ));
-            let mut probabilities = Vec::with_capacity(scenarios.len());
-            for weights in scenarios {
-                let task = EvaluationTask::Compiled {
-                    lineage: &entry.compiled,
-                    weights,
-                };
-                probabilities.push(chosen.solve(&task)?);
-            }
-            (probabilities, chosen.kind())
+            let backend = self.counting_backend(plan.backend);
+            scenarios
+                .iter()
+                .map(|weights| {
+                    backend.solve(&EvaluationTask::Compiled {
+                        lineage: &entry.compiled,
+                        weights,
+                    })
+                })
+                .collect::<Result<Vec<f64>, StucError>>()?
         };
         rec.mark("sweep");
         let wall_time = rec.elapsed();
@@ -710,16 +697,11 @@ impl Engine {
         Ok(probabilities
             .into_iter()
             .map(|probability| {
-                self.report(
+                plan.report(
                     probability,
-                    backend,
-                    entry.decomposition_width,
-                    entry.compiled.len(),
                     representation.fact_count(),
                     wall_time,
                     timings.clone(),
-                    cache_flags,
-                    notes.clone(),
                 )
             })
             .collect())
@@ -923,6 +905,8 @@ impl Engine {
         Ok((entry, weights, flags.lineage_cached))
     }
 
+    /// Plans `query` and runs the plan: the one path of [`Engine::evaluate`]
+    /// and [`Engine::reevaluate_with_weights`].
     fn evaluate_inner<R: Representation + ?Sized>(
         &self,
         representation: &R,
@@ -933,177 +917,13 @@ impl Engine {
         // request waited out its budget in the server's accept queue).
         stuc_fault::budget::check("evaluation start")?;
         let mut rec = StageRecorder::new();
-        let mut notes = Vec::new();
-
-        // Stage 1: the extensional fast path, which skips decomposition and
-        // circuit construction entirely. It evaluates directly on the
-        // instance's own probabilities, so it is off the table when the
-        // caller supplied a weight override.
-        if weight_override.is_some() {
-            if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-                return Err(StucError::BackendUnsupported {
-                    backend: BackendKind::SafePlan.name(),
-                    reason: "weight re-evaluation runs on the lineage circuit; the extensional \
-                             safe plan reads the instance's own probabilities"
-                        .into(),
-                });
-            }
-        } else if let Some(extensional) = representation.extensional(query) {
-            match self.config.policy {
-                BackendPolicy::Fixed(BackendKind::SafePlan) => {
-                    let task = EvaluationTask::Extensional {
-                        tid: extensional.tid,
-                        query: extensional.query,
-                    };
-                    let probability = SafePlanBackend.solve(&task)?;
-                    rec.mark("safe-plan");
-                    return Ok(self.report(
-                        probability,
-                        BackendKind::SafePlan,
-                        None,
-                        0,
-                        representation.fact_count(),
-                        rec.elapsed(),
-                        rec.finish(),
-                        CacheFlags::default(),
-                        notes,
-                    ));
-                }
-                BackendPolicy::Auto => {
-                    if is_hierarchical(extensional.query) {
-                        let task = EvaluationTask::Extensional {
-                            tid: extensional.tid,
-                            query: extensional.query,
-                        };
-                        match SafePlanBackend.solve(&task) {
-                            Ok(probability) => {
-                                notes.push(
-                                    "query is hierarchical; extensional safe plan selected"
-                                        .to_string(),
-                                );
-                                rec.mark("safe-plan");
-                                return Ok(self.report(
-                                    probability,
-                                    BackendKind::SafePlan,
-                                    None,
-                                    0,
-                                    representation.fact_count(),
-                                    rec.elapsed(),
-                                    rec.finish(),
-                                    CacheFlags::default(),
-                                    notes,
-                                ));
-                            }
-                            Err(refusal) => {
-                                notes.push(format!("safe plan refused ({refusal}); using lineage"))
-                            }
-                        }
-                    } else {
-                        notes.push(
-                            "query is not hierarchical; extensional safe plan skipped".to_string(),
-                        );
-                    }
-                }
-                BackendPolicy::Fixed(_) => {}
-            }
-        } else if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-            return Err(StucError::BackendUnsupported {
-                backend: BackendKind::SafePlan.name(),
-                reason: format!(
-                    "{} offers no extensional evaluation; only TID instances do",
-                    representation.kind()
-                ),
-            });
-        }
-
-        self.evaluate_on_circuit(representation, query, weight_override, rec, notes)
-    }
-
-    /// Stages 2–4 of an evaluation: compiled lineage → weights → counting
-    /// back-end. Shared by [`Engine::evaluate_inner`] (after its stage-1
-    /// extensional fast path) and by the textual front-end
-    /// ([`Engine::evaluate_text`]), whose cost model makes its own stage-1
-    /// decision per inclusion–exclusion term.
-    fn evaluate_on_circuit<R: Representation + ?Sized>(
-        &self,
-        representation: &R,
-        query: &R::Query,
-        weight_override: Option<&Weights>,
-        mut rec: StageRecorder,
-        mut notes: Vec<String>,
-    ) -> Result<EvaluationReport, StucError> {
-        // Stages 2 + 3: fetch (or build) the compiled lineage — the
-        // decomposition of the structure graph, the lineage circuit, and the
-        // decomposition of the circuit graph, all weight-independent.
-        let (entry, cache_flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        if cache_flags.lineage_cached {
-            notes.push("compiled lineage served from cache".to_string());
-        } else if cache_flags.decomposition_cached {
-            notes.push("structure decomposition served from cache".to_string());
-        }
-        notes.extend(entry.build_notes.iter().cloned());
-
-        // Collect the weights (the caller's override wins).
-        let own_weights;
-        let weights = match weight_override {
-            Some(weights) => weights,
-            None => {
-                own_weights = representation.weights()?;
-                &own_weights
-            }
-        };
-
-        // Stage 4: pick and run a counting back-end.
-        let task = EvaluationTask::Compiled {
-            lineage: &entry.compiled,
-            weights,
-        };
-        let treewidth = TreewidthWmcBackend {
-            heuristic: self.config.heuristic,
-            max_bag_size: self.config.width_budget,
-        };
-        let chosen: Box<dyn Backend> = match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::TreewidthWmc) => Box::new(treewidth),
-            BackendPolicy::Fixed(BackendKind::Dpll) => Box::new(DpllBackend {
-                max_branches: self.config.dpll_max_branches,
-            }),
-            BackendPolicy::Fixed(BackendKind::Enumeration) => Box::new(EnumerationBackend),
-            BackendPolicy::Fixed(BackendKind::SafePlan) => unreachable!("handled in stage 1"),
-            BackendPolicy::Auto => {
-                // `width()` reports decomposition *width*; the WMC back-end
-                // refuses on *bag size* (width + 1), so the strict comparison
-                // here, or Auto would pick a back-end that refuses.
-                let width = entry.compiled.width();
-                if width < self.config.width_budget {
-                    notes.push(format!(
-                        "lineage width estimate {width} within budget {}; treewidth WMC selected",
-                        self.config.width_budget
-                    ));
-                    Box::new(treewidth)
-                } else {
-                    notes.push(format!(
-                        "lineage width estimate {width} exceeds budget {}; DPLL selected",
-                        self.config.width_budget
-                    ));
-                    Box::new(DpllBackend {
-                        max_branches: self.config.dpll_max_branches,
-                    })
-                }
-            }
-        };
-        rec.skip();
-        let probability = chosen.solve(&task)?;
-        rec.mark("sweep");
-        Ok(self.report(
+        let plan = self.plan(representation, query, weight_override.is_some(), &mut rec)?;
+        let probability = self.run_plan(representation, query, &plan, weight_override, &mut rec)?;
+        Ok(plan.report(
             probability,
-            chosen.kind(),
-            entry.decomposition_width,
-            entry.compiled.len(),
             representation.fact_count(),
             rec.elapsed(),
             rec.finish(),
-            cache_flags,
-            notes,
         ))
     }
 
@@ -1116,41 +936,23 @@ impl Engine {
         query: &R::Query,
         rec: &mut StageRecorder,
     ) -> Result<(Arc<CompiledLineage>, CacheFlags), StucError> {
-        // The instance is hashed over its `Debug` rendering (primary + check
-        // hash in one pass); unlike the decomposition cache this does not go
-        // through `Representation::fingerprint`, because the entry cannot be
-        // re-validated structurally on a hit — the dual hash plus the exact
-        // query text is the validation. With caching off, none of this
-        // (instance rendering included) is paid at all.
-        let identity = if self.config.cache_lineages && self.config.cache_capacity > 0 {
-            let (instance_fp, instance_check) =
-                fingerprint_debug_pair_with(representation, FNV_OFFSET_BASIS, LINEAGE_CHECK_BASIS);
-            let query_repr = format!("{query:?}");
-            let key: LineageKey = (
-                instance_fp,
-                fingerprint_debug(&query_repr),
-                self.config.heuristic,
-            );
-            if let Some(entry) = self.lineage_cache.get(&key) {
-                if entry.query_repr == query_repr && entry.instance_check == instance_check {
-                    self.lineage_cache.note_hit();
-                    rec.mark("cache-lookup");
-                    return Ok((
-                        entry,
-                        CacheFlags {
-                            lineage_cached: true,
-                            // No decomposition lookup happened at all;
-                            // report it as served-from-cache, which is
-                            // what it is morally.
-                            decomposition_cached: true,
-                        },
-                    ));
-                }
+        let identity = match self.lineage_lookup(representation, query) {
+            Some((_, Some(entry))) => {
+                self.lineage_cache.note_hit();
+                rec.mark("cache-lookup");
+                // No decomposition lookup happened at all; report it as
+                // served-from-cache, which is what it is morally.
+                let flags = CacheFlags {
+                    lineage_cached: true,
+                    decomposition_cached: true,
+                };
+                return Ok((entry, flags));
             }
-            self.lineage_cache.note_miss();
-            Some((key, query_repr, instance_check))
-        } else {
-            None
+            Some((identity, None)) => {
+                self.lineage_cache.note_miss();
+                Some(identity)
+            }
+            None => None,
         };
         rec.mark("cache-lookup");
         let (decomposition, decomposition_cached) = self.decomposition_for(representation);
@@ -1173,11 +975,15 @@ impl Engine {
             message: format!("injected fault: {m}"),
         });
         let compiled = CompiledCircuit::compile(Arc::new(simplified), self.config.heuristic)?;
+        // Decompose the circuit graph now, ahead of the checkpoint: it is
+        // memoized on the entry, and one built after the budget tripped
+        // (which skips the min-fill candidate) must never be published.
+        compiled.width();
         rec.mark("compile-lineage");
         stuc_fault::budget::check("lineage compilation")?;
-        let (query_repr, instance_check, key) = match identity {
-            Some((key, query_repr, instance_check)) => (query_repr, instance_check, Some(key)),
-            None => (String::new(), 0, None),
+        let (key, query_repr, instance_check) = match identity {
+            Some((key, query_repr, instance_check)) => (Some(key), query_repr, instance_check),
+            None => (None, String::new(), 0),
         };
         let cold_gates = compiled.len();
         let entry = Arc::new(CompiledLineage {
@@ -1214,30 +1020,31 @@ impl Engine {
         Ok((entry, flags))
     }
 
-    /// True when the lineage cache already holds a compiled circuit for
-    /// `(representation, query)` — the same dual-hash lookup
-    /// [`Engine::compiled_lineage`] performs, without building anything on a
-    /// miss. The textual front-end's cost model uses this to discount the
-    /// circuit route for already-compiled goals.
-    fn has_cached_lineage<R: Representation + ?Sized>(
+    /// The lineage-cache identity of `(representation, query)` and the
+    /// resident entry it validly names, if any. The instance is hashed over
+    /// its `Debug` rendering, not `Representation::fingerprint`: an entry
+    /// cannot be re-validated structurally on a hit, so the dual hash plus
+    /// the exact query text is the validation. `None` with caching off,
+    /// when none of this (instance rendering included) is paid.
+    pub(crate) fn lineage_lookup<R: Representation + ?Sized>(
         &self,
         representation: &R,
         query: &R::Query,
-    ) -> bool {
+    ) -> Option<(LineageIdentity, Option<Arc<CompiledLineage>>)> {
         if !self.config.cache_lineages || self.config.cache_capacity == 0 {
-            return false;
+            return None;
         }
-        let (instance_fp, instance_check) =
-            fingerprint_debug_pair_with(representation, FNV_OFFSET_BASIS, LINEAGE_CHECK_BASIS);
+        let (instance_fp, instance_check) = lineage_fingerprint_pair(representation);
         let query_repr = format!("{query:?}");
-        let key: LineageKey = (
+        let key = (
             instance_fp,
             fingerprint_debug(&query_repr),
             self.config.heuristic,
         );
-        self.lineage_cache.get(&key).is_some_and(|entry| {
+        let hit = self.lineage_cache.get(&key).filter(|entry| {
             entry.query_repr == query_repr && entry.instance_check == instance_check
-        })
+        });
+        Some(((key, query_repr, instance_check), hit))
     }
 
     /// Builds (or fetches) the lineage circuit of a query without computing
@@ -1307,42 +1114,11 @@ impl Engine {
         let (decomposition, _won) = self.cache.publish(key, decomposition);
         (decomposition, false)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        probability: f64,
-        backend: BackendKind,
-        decomposition_width: Option<usize>,
-        circuit_gates: usize,
-        fact_count: usize,
-        wall_time: Duration,
-        stage_timings: StageTimings,
-        cache_flags: CacheFlags,
-        notes: Vec<String>,
-    ) -> EvaluationReport {
-        EvaluationReport {
-            probability,
-            backend,
-            decomposition_width,
-            circuit_gates,
-            fact_count,
-            wall_time,
-            decomposition_cached: cache_flags.decomposition_cached,
-            lineage_cached: cache_flags.lineage_cached,
-            notes,
-            // Only the textual front-end routes through the cost model;
-            // `Engine::evaluate_text` fills this in after the fact.
-            route: None,
-            trace_id: stuc_obs::next_trace_id(),
-            stage_timings,
-        }
-    }
 }
 
 /// Which engine caches served (parts of) one evaluation.
 #[derive(Debug, Clone, Copy, Default)]
-struct CacheFlags {
+pub(crate) struct CacheFlags {
     decomposition_cached: bool,
     lineage_cached: bool,
 }

@@ -4,10 +4,13 @@
 //! module accepts the `stuc-lang` surface syntax instead. A source program
 //! is parsed, safety-checked and lowered (rule unfolding, union
 //! inclusion–exclusion, ground-negation expansion) into signed sums of
-//! [`ConjunctiveQuery`] terms, and a [`CostModel`] routes each goal to the
-//! extensional safe plan or to lineage/circuit compilation — the choice the
-//! engine's `Auto` policy makes structurally, made here by estimated cost
-//! with per-relation fan-in statistics from the instance.
+//! [`ConjunctiveQuery`] terms. The engine's planner then routes each goal
+//! with the [`CostModel`](stuc_lang::cost::CostModel) to the extensional
+//! safe plan or to lineage/circuit compilation — the choice the engine's
+//! `Auto` policy makes structurally, made here by estimated cost with
+//! per-relation fan-in statistics from the instance — and plans every
+//! term on that route. [`Engine::evaluate_goal`] runs that plan, and
+//! [`Engine::explain_goal`] renders the same one.
 //!
 //! ```
 //! use stuc_core::engine::Engine;
@@ -25,14 +28,13 @@
 //! println!("{}", outcome.goals[0].report.notes[0]);
 //! ```
 
-use super::backend::{Backend, EvaluationTask, SafePlanBackend};
 use super::metrics::engine_metrics;
-use super::report::{BackendKind, BackendPolicy, EvaluationReport};
+use super::report::EvaluationReport;
 use super::representation::Representation;
 use super::{Engine, StucError};
-use stuc_lang::ast::{RuleAst, UnionAst};
-use stuc_lang::cost::{CostModel, Route, RouteDecision};
-use stuc_lang::lower::{lower_goal, LoweredGoal};
+use stuc_lang::ast::{ProgramAst, RuleAst, UnionAst};
+use stuc_lang::cost::RouteDecision;
+use stuc_lang::lower::lower_goal;
 use stuc_lang::{parse_program, LangError};
 use stuc_obs::timer::{StageRecorder, Stopwatch};
 use stuc_obs::{slowlog, trace};
@@ -141,23 +143,12 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        let program = parse_program(src).map_err(LangError::from)?;
-        let fact_count = program.facts().count();
-        if fact_count > 0 {
-            return Err(StucError::TextFacts { count: fact_count });
-        }
+        let program = parse_goals(src)?;
         let rules = program.rules();
-        let stats = representation.relation_stats().unwrap_or_default();
         let mut total = 0.0f64;
         for query in program.queries() {
             let lowered = lower_goal(&query.goal, &rules).map_err(LangError::from)?;
-            let cached = !lowered.terms.is_empty()
-                && lowered
-                    .terms
-                    .iter()
-                    .filter_map(|t| t.query.as_ref())
-                    .all(|q| self.has_cached_lineage(representation, q));
-            let decision = CostModel::default().choose(&lowered, &stats, cached);
+            let decision = self.route_goal(representation, &lowered);
             total += decision.safe_cost.min(decision.circuit_cost);
         }
         Ok(total)
@@ -174,12 +165,8 @@ impl Engine {
         // Parse is program-level (one parse serves every goal), so it shows
         // up in the tracer rather than in any single goal's stage breakdown.
         let parse_watch = Stopwatch::start();
-        let program = parse_program(src).map_err(LangError::from)?;
+        let program = parse_goals(src)?;
         trace::record_complete("parse", parse_watch.started_at(), parse_watch.elapsed());
-        let fact_count = program.facts().count();
-        if fact_count > 0 {
-            return Err(StucError::TextFacts { count: fact_count });
-        }
         let rules = program.rules();
         let mut goals = Vec::new();
         for query in program.queries() {
@@ -212,6 +199,8 @@ impl Engine {
         result
     }
 
+    /// Runs the goal's plan term by term, combined with the
+    /// inclusion–exclusion signs, and folds the term plans into one report.
     fn evaluate_goal_inner<R>(
         &self,
         representation: &R,
@@ -221,129 +210,28 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        // Safety analysis runs inside lowering, so the "lower" stage covers
-        // both; per-term circuit stages are absorbed from the term reports.
         let mut rec = StageRecorder::new();
-        let lowered = lower_goal(goal, rules).map_err(LangError::from)?;
-        rec.mark("lower");
-
-        // Route with the cost model, then force the route when the engine's
-        // policy pins a back-end (mirroring `evaluate`'s fixed-policy
-        // semantics: a pinned back-end either runs or errors, it never
-        // silently reroutes).
-        let stats = representation.relation_stats().unwrap_or_default();
-        let cached = !lowered.terms.is_empty()
-            && lowered
-                .terms
-                .iter()
-                .filter_map(|t| t.query.as_ref())
-                .all(|q| self.has_cached_lineage(representation, q));
-        let mut decision = CostModel::default().choose(&lowered, &stats, cached);
-        rec.mark("route");
-        match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::SafePlan) => decision.route = Route::SafePlan,
-            BackendPolicy::Fixed(_) => decision.route = Route::Circuit,
-            BackendPolicy::Auto => {}
-        }
-
-        let mut notes = vec![decision.summary()];
-        notes.push(lowering_note(&lowered));
-
-        // The safe-plan route needs the extensional fast path; when the
-        // representation offers none, a pinned safe-plan policy errors (as
-        // `evaluate` does) and a cost-model choice falls back to circuits.
-        if decision.route == Route::SafePlan {
-            let missing_extensional = lowered
-                .terms
-                .iter()
-                .filter_map(|t| t.query.as_ref())
-                .any(|q| representation.extensional(q).is_none());
-            if missing_extensional {
-                if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-                    return Err(StucError::BackendUnsupported {
-                        backend: BackendKind::SafePlan.name(),
-                        reason: format!(
-                            "{} offers no extensional evaluation; only TID instances do",
-                            representation.kind()
-                        ),
-                    });
-                }
-                decision.route = Route::Circuit;
-                notes.push(
-                    "representation offers no extensional evaluation; circuit route used"
-                        .to_string(),
-                );
-            }
-        }
-
-        // Evaluate every term on the chosen route. `combine` applies the
-        // inclusion–exclusion signs, scores the tautology term as 1, and
-        // clamps the signed sum into [0, 1].
-        let mut term_reports: Vec<EvaluationReport> = Vec::new();
-        let probability = match decision.route {
-            Route::SafePlan => {
-                let p = lowered.combine(|query| {
-                    let extensional = representation
-                        .extensional(query)
-                        .expect("checked above: every term offers the extensional path");
-                    SafePlanBackend.solve(&EvaluationTask::Extensional {
-                        tid: extensional.tid,
-                        query: extensional.query,
-                    })
-                })?;
-                rec.mark("safe-plan");
-                p
-            }
-            Route::Circuit => lowered.combine(|query| {
-                stuc_fault::budget::check("inclusion-exclusion term")?;
-                let report = self.evaluate_on_circuit(
-                    representation,
-                    query,
-                    None,
-                    StageRecorder::new(),
-                    Vec::new(),
-                )?;
-                let p = report.probability;
-                rec.absorb(&report.stage_timings);
-                term_reports.push(report);
-                Ok::<f64, StucError>(p)
-            })?,
-        };
-
-        // Fold the per-term reports into one goal-level report.
-        let backend = match decision.route {
-            Route::SafePlan => BackendKind::SafePlan,
-            Route::Circuit => term_reports
-                .first()
-                .map(|r| r.backend)
-                .unwrap_or(BackendKind::TreewidthWmc),
-        };
-        if decision.route == Route::Circuit && term_reports.is_empty() {
-            notes.push("no satisfiable terms remained after lowering".to_string());
-        }
-        for report in &term_reports {
-            for note in &report.notes {
-                if !notes.iter().any(|n| n == note) {
-                    notes.push(note.clone());
-                }
-            }
-        }
+        let plan = self.plan_goal(representation, goal, rules, &mut rec)?;
+        let mut terms = plan.terms.iter();
+        let probability = plan.lowered.combine(|query| {
+            let term = terms.next().expect("one plan per evaluated term");
+            self.run_plan(representation, query, term, None, &mut rec)
+        })?;
+        let flags = plan.cache_flags().unwrap_or_default();
         let report = EvaluationReport {
             probability,
-            backend,
-            decomposition_width: term_reports
-                .iter()
-                .filter_map(|r| r.decomposition_width)
+            backend: plan.backend(),
+            decomposition_width: plan
+                .lineages()
+                .filter_map(|(entry, _)| entry.decomposition_width)
                 .max(),
-            circuit_gates: term_reports.iter().map(|r| r.circuit_gates).sum(),
+            circuit_gates: plan.lineages().map(|(entry, _)| entry.compiled.len()).sum(),
             fact_count: representation.fact_count(),
             wall_time: rec.elapsed(),
-            decomposition_cached: !term_reports.is_empty()
-                && term_reports.iter().all(|r| r.decomposition_cached),
-            lineage_cached: !term_reports.is_empty()
-                && term_reports.iter().all(|r| r.lineage_cached),
-            notes,
-            route: Some(decision.route),
+            decomposition_cached: flags.decomposition_cached,
+            lineage_cached: flags.lineage_cached,
+            notes: plan.notes,
+            route: Some(plan.decision.route),
             trace_id: stuc_obs::next_trace_id(),
             stage_timings: rec.finish(),
         };
@@ -351,35 +239,29 @@ impl Engine {
             source: goal.to_string(),
             probability,
             report,
-            decision,
+            decision: plan.decision,
         })
     }
 }
 
-/// A deterministic, float-free one-liner describing what lowering did —
-/// golden-output friendly for the REPL.
-pub(crate) fn lowering_note(lowered: &LoweredGoal) -> String {
-    let mut parts = vec![format!(
-        "lowered to {} inclusion-exclusion term(s) over {} conjunct(s)",
-        lowered.terms.len(),
-        lowered.disjunct_count
-    )];
-    if lowered.used_rules {
-        parts.push("rules unfolded".to_string());
+/// Parses a `stuc-lang` program whose goals run against a given instance,
+/// rejecting inline facts (the instance is the argument).
+pub(crate) fn parse_goals(src: &str) -> Result<ProgramAst, StucError> {
+    let program = parse_program(src).map_err(LangError::from)?;
+    match program.facts().count() {
+        0 => Ok(program),
+        count => Err(StucError::TextFacts { count }),
     }
-    if lowered.has_negation {
-        parts.push("ground negation expanded".to_string());
-    }
-    parts.join("; ")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
+    use crate::engine::{BackendKind, BackendPolicy, EngineBuilder};
     use stuc_circuit::weights::Weights;
     use stuc_data::cinstance::{CInstance, PcInstance};
     use stuc_data::tid::TidInstance;
+    use stuc_lang::cost::Route;
 
     fn one_fact_pc() -> PcInstance {
         let mut ci = CInstance::new();

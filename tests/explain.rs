@@ -380,16 +380,12 @@ fn explain_agrees_with_evaluate_under_every_policy_and_budget() {
                 "?- R(x, y).",
                 &context("tid hierarchical goal"),
             );
-            // A pinned safe plan on a self-join goal errors at evaluation
-            // time, which goal explanations do not predict yet.
-            if policy != BackendPolicy::Fixed(BackendKind::SafePlan) {
-                assert_goal_explain_matches_evaluate(
-                    &engine,
-                    &tid,
-                    "?- R(x, y), R(y, z).",
-                    &context("tid self-join goal"),
-                );
-            }
+            assert_goal_explain_matches_evaluate(
+                &engine,
+                &tid,
+                "?- R(x, y), R(y, z).",
+                &context("tid self-join goal"),
+            );
             assert_goal_explain_matches_evaluate(
                 &engine,
                 &pc,
