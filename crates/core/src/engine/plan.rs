@@ -426,10 +426,10 @@ impl Engine {
         })
     }
 
-    /// Executes a non-refused plan's probability: the safe plan on the
-    /// instance's own probabilities, or the plan's counting back-end over
-    /// its compiled lineage under `weight_override` or the instance's
-    /// weights. A refusal returns its error.
+    /// Runs `plan` for its probability: the safe plan on the instance's own
+    /// probabilities, or the counting back-end over the compiled lineage
+    /// under `weight_override` or the instance's weights. A refused plan
+    /// returns its error, on the circuit route after fetching the weights.
     pub(crate) fn run_plan<R: Representation + ?Sized>(
         &self,
         representation: &R,
