@@ -16,6 +16,12 @@
 //! the live-traffic shape), plus a single-fact insertion (the structural
 //! patch path). The `[A5]` report lines record the speedups; the
 //! acceptance bar is ≥5x for single-fact updates on the 64-query workload.
+//!
+//! A last case times the steady state after churn: 64 insert/delete cycles
+//! of a branch under 16 standing queries in turn, then one warm
+//! re-weighting update plus 4 standing-query reads, against a fresh engine
+//! answering the same reads. Patched lineages that kept growing with the
+//! churn would show here as sweeps far costlier than a fresh compile's.
 
 use criterion::black_box;
 use stuc_bench::{criterion_config, report_value, timed, BenchSummary};
@@ -184,6 +190,59 @@ fn main() {
             format!("{speedup:.2}x ({cold_time:?} cold -> {warm_time:?} warm)"),
         );
         summary.record_speedup("insert_1_fact_64_queries", warm_time, cold_time);
+    }
+
+    // --- steady state after churn: does patching keep sweeps cheap?
+    {
+        let standing = &queries[..16];
+        let engine = Engine::new();
+        let mut live = base.clone();
+        evaluate_all(&engine, &live, standing);
+        for cycle in 0..64 {
+            // A branch under the third hop of standing query `k` opens a new
+            // match for it; the next update deletes it again (it is the last
+            // fact, so no other fact id shifts).
+            let k = cycle % standing.len();
+            let branch = Delta::new().insert("R", &[&format!("c{}", k + 2), &format!("n{k}")], 0.5);
+            engine.apply_update(&mut live, &branch).unwrap();
+            let last = FactId(live.fact_count() - 1);
+            engine
+                .apply_update(&mut live, &Delta::new().delete(last))
+                .unwrap();
+        }
+        let reads = &standing[..4];
+        let cold = Engine::new();
+        for query in reads {
+            let warm = engine.evaluate(&live, query).unwrap().probability;
+            let fresh = cold.evaluate(&live, query).unwrap().probability;
+            assert!((warm - fresh).abs() < 1e-9, "{query:?} after churn");
+        }
+        let mut r = 0usize;
+        let warm_time = timed(3, || {
+            r += 1;
+            engine
+                .apply_update(&mut live, &reweight_delta(1, r))
+                .unwrap();
+            evaluate_all(&engine, &live, reads)
+        });
+        let cold_time = timed(3, || {
+            let fresh = Engine::builder()
+                .without_decomposition_cache()
+                .without_lineage_cache()
+                .build();
+            evaluate_all(&fresh, &live, reads)
+        });
+        let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
+        report_value(
+            "A5",
+            "speedup_update_4_reads_after_64_churn_cycles_16_queries",
+            format!("{speedup:.2}x ({cold_time:?} cold -> {warm_time:?} warm)"),
+        );
+        summary.record_speedup(
+            "update_4_reads_after_64_churn_cycles_16_queries",
+            warm_time,
+            cold_time,
+        );
     }
 
     summary.write();

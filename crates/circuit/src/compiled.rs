@@ -19,6 +19,7 @@ use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::plan::{SweepArena, SweepPlan, MAX_PLANNED_BAG};
 use crate::weights::Weights;
 use crate::wmc::{message_passing, TreewidthWmc, WmcError, WmcReport};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use stuc_graph::elimination::EliminationHeuristic;
@@ -98,8 +99,9 @@ pub struct CompiledCircuit {
     /// The decomposition of the circuit graph, built on first use: callers
     /// that never run the treewidth back-end (a pinned DPLL engine, say)
     /// skip its cost entirely, and once built it is reused by every
-    /// subsequent run.
-    structure: OnceLock<CompiledStructure>,
+    /// subsequent run. Behind an [`Arc`] so clones and input rewiring,
+    /// which keep the topology, share it instead of copying it.
+    structure: OnceLock<Arc<CompiledStructure>>,
     /// The flattened sweep plan over `structure`'s nice decomposition
     /// ([`SweepPlan`]), built on first counting run. `Some(None)` records
     /// that the circuit's bags are too wide to plan densely (beyond
@@ -215,17 +217,27 @@ impl CompiledCircuit {
         })
     }
 
-    fn structure(&self) -> &CompiledStructure {
-        self.structure.get_or_init(|| {
-            let graph = TreewidthWmc::circuit_graph(&self.prepared);
-            let decomposition = TreewidthWmc::decompose_circuit_graph(&graph, self.heuristic);
-            CompiledStructure {
-                width: decomposition.width(),
-                bag_count: decomposition.bag_count(),
-                nice: NiceDecomposition::from_decomposition(&decomposition),
-                decomposition,
-            }
-        })
+    /// The circuit-graph decomposition, built on first use and memoized.
+    /// One built after the ambient budget tripped may have skipped the
+    /// min-fill candidate ([`TreewidthWmc::decompose_circuit_graph`]): it
+    /// serves this call but is not memoized, so the next un-budgeted call
+    /// builds it at full quality instead of inheriting the degraded one.
+    fn structure(&self) -> Cow<'_, CompiledStructure> {
+        if let Some(structure) = self.structure.get() {
+            return Cow::Borrowed(structure);
+        }
+        let graph = TreewidthWmc::circuit_graph(&self.prepared);
+        let decomposition = TreewidthWmc::decompose_circuit_graph(&graph, self.heuristic);
+        let structure = CompiledStructure {
+            width: decomposition.width(),
+            bag_count: decomposition.bag_count(),
+            nice: NiceDecomposition::from_decomposition(&decomposition),
+            decomposition,
+        };
+        if stuc_fault::budget::tripped() {
+            return Cow::Owned(structure);
+        }
+        Cow::Borrowed(self.structure.get_or_init(|| Arc::new(structure)))
     }
 
     /// The compiled sweep plan over the circuit-graph decomposition, built
@@ -254,6 +266,11 @@ impl CompiledCircuit {
             return Ok(cell.as_ref());
         }
         let structure = self.structure();
+        if let Cow::Owned(_) = structure {
+            // A degraded decomposition (see `structure`): memoize no plan
+            // over it either.
+            stuc_fault::budget::check("circuit decomposition")?;
+        }
         if structure.width + 1 > MAX_PLANNED_BAG {
             return Ok(self.plan.get_or_init(|| None).as_ref());
         }
@@ -275,6 +292,15 @@ impl CompiledCircuit {
     /// Number of bags in the (non-nice) decomposition of the circuit graph.
     pub fn bag_count(&self) -> usize {
         self.structure().bag_count
+    }
+
+    /// Dense-table entries one sweep over the circuit-graph decomposition
+    /// fills ([`NiceDecomposition::table_volume`]): the sweep's cost, and
+    /// what EXPLAIN reports as the plan's `table_entries`. Unlike the gate
+    /// count it is exponential in the bag sizes, so it is the measure that
+    /// shows a patched circuit outgrowing a fresh compile.
+    pub fn table_volume(&self) -> usize {
+        NiceDecomposition::table_volume(&self.structure().decomposition)
     }
 
     /// Gate count of the source circuit.
@@ -485,12 +511,12 @@ impl CompiledCircuit {
                 report.bags_added = repair.bags_added;
                 report.width_after = Some(repair.width_after);
                 let lock = OnceLock::new();
-                let _ = lock.set(CompiledStructure {
+                let _ = lock.set(Arc::new(CompiledStructure {
                     width: patched.width(),
                     bag_count: patched.bag_count(),
                     nice: NiceDecomposition::from_decomposition(&patched),
                     decomposition: patched,
-                });
+                }));
                 lock
             }
         };
@@ -746,6 +772,45 @@ mod tests {
             let expected = probability_by_enumeration(&circuit, &weights).unwrap();
             assert_close(compiled.probability(&weights, 22).unwrap(), expected);
         }
+    }
+
+    #[test]
+    fn a_decomposition_built_under_a_tripped_budget_is_not_memoized() {
+        use stuc_fault::{budget, EvalBudget};
+        use stuc_graph::elimination::decompose_with_heuristic;
+        // A circuit whose cheapest decomposition is min-fill's, which a
+        // tripped budget skips; small enough that building a plan polls
+        // the budget at no checkpoint of its own.
+        let circuit = (0..200)
+            .map(|seed| builder::random_circuit(3, 6, seed))
+            .find(|circuit| {
+                let graph = TreewidthWmc::circuit_graph(circuit);
+                let alone = decompose_with_heuristic(&graph, EliminationHeuristic::MinDegree);
+                let chosen =
+                    TreewidthWmc::decompose_circuit_graph(&graph, EliminationHeuristic::MinDegree);
+                NiceDecomposition::table_volume(&chosen) < NiceDecomposition::table_volume(&alone)
+            })
+            .expect("some random circuit sweeps cheaper under min-fill");
+        let heuristic = EliminationHeuristic::MinDegree;
+        let fresh =
+            CompiledCircuit::compile(Arc::new(circuit.clone()), heuristic).expect("compiles");
+        let compiled = CompiledCircuit::compile(Arc::new(circuit), heuristic).expect("compiles");
+
+        let expired = EvalBudget::with_deadline(std::time::Duration::ZERO);
+        let degraded = budget::scope(expired.clone(), || compiled.table_volume());
+        assert!(
+            degraded > fresh.table_volume(),
+            "the tripped build skipped min-fill"
+        );
+        assert!(budget::scope(expired, || compiled.try_sweep_plan()).is_err());
+
+        // Un-budgeted, the same value decomposes and plans at full quality.
+        assert_eq!(compiled.table_volume(), fresh.table_volume());
+        assert_eq!(compiled.width(), fresh.width());
+        assert_eq!(
+            compiled.sweep_plan().map(|plan| plan.table_entry_count()),
+            Some(fresh.table_volume())
+        );
     }
 
     #[test]

@@ -328,32 +328,24 @@ pub(crate) struct CompiledLineage {
     /// The query itself (type-erased): [`Engine::apply_update`] downcasts
     /// it back to re-derive delta lineages when the instance changes.
     pub(crate) query: Arc<dyn std::any::Any + Send + Sync>,
-    /// Gate count of the circuit when it was last compiled cold. Patches
-    /// only ever grow a circuit (deleted cones become constants, inserted
-    /// cones are appended), so [`Engine::apply_update`] compares against
-    /// this watermark and schedules a fresh compile once a patched circuit
-    /// has bloated past a fixed factor — sustained churn degrades to an
-    /// amortized rebuild, never to an unboundedly slower sweep.
+    /// Gate count of the circuit when it was last compiled: by a cold
+    /// build, or by [`Engine::apply_update`] compacting a patched circuit
+    /// in place. Reported by EXPLAIN next to the live gate count.
     pub(crate) cold_gates: usize,
+    /// Dense-table volume ([`CompiledCircuit::table_volume`]) of the
+    /// circuit when it was last compiled: the sweep-cost watermark. Patches
+    /// only ever grow a circuit (deleted cones become constants, inserted
+    /// cones are appended and the decomposition is repaired around them),
+    /// so [`Engine::apply_update`] recompiles a patched circuit from its own
+    /// source once its volume passes twice this watermark, keeping every
+    /// sweep within a constant factor of a fresh compile's.
+    pub(crate) cold_volume: usize,
 }
 
 impl CompiledLineage {
-    /// A rekeyed copy for an update that left the lineage intact: only the
-    /// secondary instance hash changes.
-    pub(crate) fn reusing(&self, instance_check: u64) -> CompiledLineage {
-        CompiledLineage {
-            compiled: self.compiled.clone(),
-            decomposition_width: self.decomposition_width,
-            build_notes: self.build_notes.clone(),
-            query_repr: self.query_repr.clone(),
-            instance_check,
-            query: Arc::clone(&self.query),
-            cold_gates: self.cold_gates,
-        }
-    }
-
-    /// A copy carrying a patched circuit (and, when known, the patched
-    /// structure-decomposition width).
+    /// A copy carrying a patched circuit and the instance's new secondary
+    /// hash (and, when known, the patched structure-decomposition width).
+    /// The compile watermarks carry over.
     pub(crate) fn with_patched_circuit(
         &self,
         compiled: CompiledCircuit,
@@ -368,13 +360,23 @@ impl CompiledLineage {
             instance_check,
             query: Arc::clone(&self.query),
             cold_gates: self.cold_gates,
+            cold_volume: self.cold_volume,
         }
     }
 
-    /// True when patched growth has outrun the cold-compiled size enough
-    /// that a fresh compile beats further patching.
-    pub(crate) fn is_bloated(&self, patched_gates: usize) -> bool {
-        patched_gates > self.cold_gates.saturating_mul(4) + 64
+    /// [`CompiledLineage::with_patched_circuit`] for a freshly compiled
+    /// circuit: the compile watermarks restart from it.
+    pub(crate) fn with_compiled_circuit(
+        &self,
+        compiled: CompiledCircuit,
+        instance_check: u64,
+        decomposition_width: Option<usize>,
+    ) -> CompiledLineage {
+        CompiledLineage {
+            cold_gates: compiled.len(),
+            cold_volume: compiled.table_volume(),
+            ..self.with_patched_circuit(compiled, instance_check, decomposition_width)
+        }
     }
 }
 
@@ -963,29 +965,14 @@ impl Engine {
         stuc_fault::budget::check("structure decomposition")?;
         let outcome = representation.lineage(query, &decomposition)?;
         let build_notes = outcome.note.into_iter().collect();
-        // Constant-fold and prune the raw lineage before compiling:
-        // automaton-built circuits carry a constant gate per decomposition
-        // node, so for selective (e.g. anchored) queries the reachable
-        // non-constant core is a tiny fraction of the raw circuit, and both
-        // the circuit-graph decomposition and every later counting sweep
-        // shrink with it.
-        let simplified = outcome.circuit.simplify()?;
-        stuc_fault::budget::check("lineage construction")?;
-        stuc_fault::failpoint!("lineage-compile", |m| StucError::Internal {
-            message: format!("injected fault: {m}"),
-        });
-        let compiled = CompiledCircuit::compile(Arc::new(simplified), self.config.heuristic)?;
-        // Decompose the circuit graph now, ahead of the checkpoint: it is
-        // memoized on the entry, and one built after the budget tripped
-        // (which skips the min-fill candidate) must never be published.
-        compiled.width();
+        let compiled = self.compile_lineage(&outcome.circuit)?;
         rec.mark("compile-lineage");
-        stuc_fault::budget::check("lineage compilation")?;
         let (key, query_repr, instance_check) = match identity {
             Some((key, query_repr, instance_check)) => (Some(key), query_repr, instance_check),
             None => (None, String::new(), 0),
         };
         let cold_gates = compiled.len();
+        let cold_volume = compiled.table_volume();
         let entry = Arc::new(CompiledLineage {
             compiled,
             decomposition_width: Some(decomposition.width()),
@@ -994,6 +981,7 @@ impl Engine {
             instance_check,
             query: Arc::new(query.clone()),
             cold_gates,
+            cold_volume,
         });
         let flags = CacheFlags {
             lineage_cached: false,
@@ -1018,6 +1006,30 @@ impl Engine {
             }
         }
         Ok((entry, flags))
+    }
+
+    /// Simplifies a lineage circuit and compiles it: the one compile step of
+    /// a cold build (`compiled_lineage`) and of `apply_update`'s in-place
+    /// compaction of a patched circuit.
+    fn compile_lineage(&self, lineage: &Circuit) -> Result<CompiledCircuit, StucError> {
+        // Constant-fold and prune before compiling: automaton-built
+        // circuits carry a constant gate per decomposition node, and patched
+        // ones the cones their deletions pinned to false, so the reachable
+        // non-constant core can be a small fraction of the circuit, and both
+        // the circuit-graph decomposition and every later counting sweep
+        // shrink with it.
+        let simplified = lineage.simplify()?;
+        stuc_fault::budget::check("lineage construction")?;
+        stuc_fault::failpoint!("lineage-compile", |m| StucError::Internal {
+            message: format!("injected fault: {m}"),
+        });
+        let compiled = CompiledCircuit::compile(Arc::new(simplified), self.config.heuristic)?;
+        // Decompose the circuit graph ahead of the checkpoint, so a compiled
+        // circuit is only ever cached with its decomposition built at full
+        // quality: a trip while building it surfaces here.
+        compiled.width();
+        stuc_fault::budget::check("lineage compilation")?;
+        Ok(compiled)
     }
 
     /// The lineage-cache identity of `(representation, query)` and the

@@ -135,6 +135,15 @@ pub trait Representation: std::fmt::Debug {
     /// equally within one process; collisions merely cost a wrong-width
     /// cache entry, never a wrong probability, because cached decompositions
     /// are validated against the structure graph before reuse.
+    ///
+    /// The default equals the primary hash the lineage cache keys instances
+    /// by (FNV-1a from the standard basis over the `Debug` rendering), and
+    /// [`crate::engine::Engine::decomposition_for`],
+    /// [`crate::engine::Engine::evict_instance`] and
+    /// [`crate::engine::Engine::apply_update`] depend on that: an update
+    /// hashes the instance once per side and keys both caches with it. An
+    /// override keeps answers exact but gives up maintaining the
+    /// decomposition cache across updates.
     fn fingerprint(&self) -> u64 {
         fingerprint_debug(self)
     }
@@ -427,6 +436,34 @@ mod tests {
             Representation::fingerprint(&a),
             Representation::fingerprint(&b)
         );
+    }
+
+    #[test]
+    fn fingerprint_is_the_lineage_caches_primary_hash() {
+        fn primary_hash_agrees<R: Representation>(representation: &R) {
+            assert_eq!(
+                representation.fingerprint(),
+                crate::engine::lineage_fingerprint_pair(representation).0,
+                "{}",
+                representation.kind()
+            );
+        }
+        let tid = crate::workloads::path_tid(6, 0.5, 3);
+        primary_hash_agrees(&tid);
+        let mut ci = CInstance::new();
+        ci.add_fact_with_condition("R", &["a", "b"], "e0 & !e1")
+            .unwrap();
+        ci.add_fact_with_condition("R", &["b", "c"], "e1").unwrap();
+        primary_hash_agrees(&ci);
+        let vars: Vec<VarId> = ci.events().variables().collect();
+        primary_hash_agrees(&ci.with_probabilities(Weights::uniform(vars, 0.4)));
+        primary_hash_agrees(&crate::workloads::contributor_pcc(3, 2, 0.8, 0.7, 5));
+        let mut doc = PrXmlDocument::new();
+        let root = doc.add_node("root");
+        doc.set_root(root);
+        let child = doc.add_node("a");
+        doc.add_ind_child(root, child, 0.6);
+        primary_hash_agrees(&doc);
     }
 
     #[test]

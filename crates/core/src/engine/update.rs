@@ -16,6 +16,19 @@
 //!   for insertions — and dropped for rebuilds the patch model does not
 //!   cover.
 //!
+//! Patches only ever grow a circuit's sweep: a deletion leaves its cone in
+//! place as constants, and an insertion's repaired decomposition widens
+//! with every new cone. Each entry therefore keeps the dense-table volume
+//! of its last compile as a watermark. A patched circuit whose volume
+//! passes twice that watermark is recompiled in place from its own source
+//! (simplification folds the pinned cones away): no pass over the instance,
+//! and the entry stays warm. Every sweep thus stays within a constant
+//! factor of a compile of the live lineage, however long the churn.
+//!
+//! The instance is hashed once on each side of the mutation: the lineage
+//! cache's primary hash doubles as [`Representation::fingerprint`], which
+//! keys the decomposition cache.
+//!
 //! The returned [`UpdateReport`] says exactly what was reused vs rebuilt,
 //! so operational dashboards (and the `a5_incremental_updates` bench) can
 //! watch the patch rate and the width drift.
@@ -55,9 +68,11 @@ pub struct UpdateReport {
     /// again). The difference is the update's width drift.
     pub width_after: Option<usize>,
     /// True when any patch was abandoned for a full rebuild (repair over
-    /// the width budget, opaque structural change, unpatchable lineage).
+    /// the width budget, opaque structural change, unpatchable lineage, a
+    /// failed compaction).
     pub fell_back: bool,
-    /// Compiled lineages patched (or rekeyed) and kept warm.
+    /// Compiled lineages patched (or rekeyed) and kept warm, including
+    /// those compacted in place.
     pub lineages_patched: usize,
     /// Compiled lineages dropped; they rebuild lazily on the next query.
     pub lineages_dropped: usize,
@@ -171,11 +186,12 @@ impl Engine {
     {
         let mut report = UpdateReport::default();
 
-        let old_fingerprint = representation.fingerprint();
-        let (old_lineage_fp, old_check) = lineage_fingerprint_pair(representation);
+        // One identity pass per side of the mutation: the pair's primary
+        // hash is `Representation::fingerprint` (the same FNV-1a pass over
+        // the same rendering), so it keys the decomposition cache as well.
+        let (old_fingerprint, old_check) = lineage_fingerprint_pair(representation);
         let application = representation.apply_delta(delta)?;
-        let new_fingerprint = representation.fingerprint();
-        let (new_lineage_fp, new_check) = lineage_fingerprint_pair(representation);
+        let (new_fingerprint, new_check) = lineage_fingerprint_pair(representation);
         report.inserted = application.inserted.len();
         report.deleted = application.deleted;
         report.reweighted = application.reweighted;
@@ -188,7 +204,7 @@ impl Engine {
         // discipline as a cold lookup.
         let mut stale_lineages = self
             .lineage_cache
-            .drain_matching(|key| key.0 == old_lineage_fp);
+            .drain_matching(|key| key.0 == old_fingerprint);
         let colliding: Vec<_> = {
             let (ours, theirs) = stale_lineages
                 .into_iter()
@@ -258,6 +274,9 @@ impl Engine {
                     ))
                 }
             };
+            // A fallback re-decomposition run after the budget tripped may
+            // be degraded; like `decomposition_for`, never publish one.
+            stuc_fault::budget::check("update: decomposition maintenance")?;
             if let Some(patched) = patched {
                 report.width_after = Some(patched.width());
                 self.cache
@@ -276,7 +295,9 @@ impl Engine {
             }
             let patched = match &application.lineage {
                 LineagePatch::Rebuild => None,
-                LineagePatch::Reusable => Some(entry.reusing(new_check)),
+                LineagePatch::Reusable => {
+                    Some(entry.with_patched_circuit(entry.compiled.clone(), new_check, None))
+                }
                 LineagePatch::Steps(steps) => {
                     let mut compiled = entry.compiled.clone();
                     let mut alive = true;
@@ -334,28 +355,42 @@ impl Engine {
                             }
                         }
                     }
-                    // Patches only ever grow a circuit (dead cones become
-                    // constants, new cones are appended): once the patched
-                    // size has outrun the cold-compiled watermark, drop the
-                    // entry so the next query recompiles it compactly —
-                    // sustained churn amortizes to a rebuild instead of
-                    // degrading every sweep forever.
-                    if alive && entry.is_bloated(compiled.len()) {
-                        report.notes.push(format!(
-                            "patched lineage grew to {} gates (cold: {}); dropped for compacting rebuild",
-                            compiled.len(),
-                            entry.cold_gates
-                        ));
-                        alive = false;
+                    if !alive {
+                        None
+                    } else if compiled.table_volume() <= entry.cold_volume.saturating_mul(2) {
+                        Some(entry.with_patched_circuit(compiled, new_check, structure_width))
+                    } else {
+                        // Compact in place: recompiling from its own
+                        // source reads nothing of the instance, and
+                        // simplification folds the pinned cones away.
+                        match self.compile_lineage(compiled.source()) {
+                            Ok(compacted) => {
+                                report.notes.push(format!(
+                                    "patched lineage outgrew twice the sweep of its last compile ({} table entries); compacted in place",
+                                    entry.cold_volume
+                                ));
+                                Some(entry.with_compiled_circuit(
+                                    compacted,
+                                    new_check,
+                                    structure_width,
+                                ))
+                            }
+                            Err(refusal) => {
+                                report.fell_back = true;
+                                report.notes.push(format!(
+                                    "lineage compaction failed ({refusal}); dropped for lazy rebuild"
+                                ));
+                                None
+                            }
+                        }
                     }
-                    alive.then(|| entry.with_patched_circuit(compiled, new_check, structure_width))
                 }
             };
             match patched {
                 Some(fresh) => {
                     report.lineages_patched += 1;
                     self.lineage_cache
-                        .insert_replacing((new_lineage_fp, key.1, key.2), Arc::new(fresh));
+                        .insert_replacing((new_fingerprint, key.1, key.2), Arc::new(fresh));
                 }
                 None => report.lineages_dropped += 1,
             }

@@ -252,6 +252,39 @@ fn repair_failpoint_degrades_to_full_rebuild() {
     );
 }
 
+/// A compile fault while an update compacts a patched lineage in place
+/// drops that lineage for a lazy rebuild; the update itself succeeds and
+/// answers stay exact.
+#[test]
+fn compile_failpoint_during_compaction_drops_the_lineage() {
+    let _serial = chaos_lock();
+    let (mut tid, chain) = workload();
+    let engine = Engine::new();
+    engine.evaluate(&tid, &chain).unwrap();
+    // A new match at the path's middle outgrows the lineage's sweep.
+    let delta = stuc::Delta::new().insert("R", &["c4", "branch"], 0.5);
+    let report = {
+        let _armed = failpoint::arm_guard(
+            "lineage-compile",
+            FailAction::Error("compaction chaos".into()),
+        );
+        engine
+            .apply_update(&mut tid, &delta)
+            .expect("a failed compaction must drop the lineage, not fail the update")
+    };
+    assert_eq!(report.lineages_dropped, 1, "{:?}", report.notes);
+    assert!(report.fell_back);
+    assert!(
+        report.notes.iter().any(|n| n.contains("compaction failed")),
+        "{:?}",
+        report.notes
+    );
+    let after = engine.evaluate(&tid, &chain).unwrap();
+    assert!(!after.lineage_cached, "the dropped lineage rebuilds lazily");
+    let fresh = Engine::new().evaluate(&tid, &chain).unwrap().probability;
+    assert!((after.probability - fresh).abs() < 1e-9);
+}
+
 // ---------------------------------------------------------------------------
 // Serve-side chaos
 // ---------------------------------------------------------------------------

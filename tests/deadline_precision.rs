@@ -11,7 +11,9 @@
 //!   without a deadline is bit-identical to a fresh, never-deadlined
 //!   engine — tripped runs publish nothing to the caches;
 //! * a pre-raised cancel flag surfaces as [`StucError::Cancelled`] with
-//!   the same no-pollution guarantee.
+//!   the same no-pollution guarantee;
+//! * an update applied under a deadline completes or trips typed, and the
+//!   lineage it patches, compacts or drops never changes a later answer.
 
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -19,6 +21,7 @@ use stuc::core::workloads;
 use stuc::data::cinstance::CInstance;
 use stuc::data::pcc::PccInstance;
 use stuc::data::tid::TidInstance;
+use stuc::incr::Delta;
 use stuc::query::cq::ConjunctiveQuery;
 use stuc::{CancelHandle, Engine, EvalBudget, Representation, StucError};
 
@@ -128,8 +131,58 @@ where
     assert_eq!(warm.to_bits(), reference.to_bits());
 }
 
+/// Inserts a new match under a standing anchored query through a warm
+/// `engine` under a deadline of `deadline_us` (0: already expired). The
+/// insert outgrows the lineage's sweep, so a completed update compacts it
+/// in place. Reads afterwards agree with a fresh engine's: bit for bit
+/// when the update dropped the lineage (it tripped, or its compaction was
+/// cut short), within 1e-9 when it patched it.
+fn check_update_deadline_contract(engine: &Engine, n: usize, seed: u64, deadline_us: u64) {
+    let query = ConjunctiveQuery::parse("R(\"c1\", x), R(x, y), R(y, z)").unwrap();
+    let mut tid = workloads::path_tid(n, 0.5, seed);
+    engine.evaluate(&tid, &query).unwrap();
+    let delta = Delta::new().insert("R", &["c3", "branch"], 0.5);
+    let budget = EvalBudget::with_deadline(Duration::from_micros(deadline_us));
+    let dropped = match engine.apply_update_with_budget(&mut tid, &delta, &budget) {
+        Ok(report) => report.lineages_dropped > 0,
+        Err(StucError::DeadlineExceeded { stage }) => {
+            assert!(!stage.is_empty(), "trip must name the stage");
+            true
+        }
+        Err(other) => panic!("only DeadlineExceeded is acceptable, got {other}"),
+    };
+    assert!(deadline_us > 0 || dropped, "an expired deadline must trip");
+    let fresh = Engine::new().evaluate(&tid, &query).unwrap().probability;
+    let read = engine.evaluate(&tid, &query).unwrap().probability;
+    if dropped {
+        assert_eq!(read.to_bits(), fresh.to_bits(), "a tripped update leaked");
+    } else {
+        assert!((read - fresh).abs() < 1e-9, "{read} vs {fresh}");
+    }
+}
+
+#[test]
+fn an_update_under_an_expired_deadline_publishes_nothing() {
+    check_update_deadline_contract(&Engine::new(), 12, 7, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Tiny deadlines trip the update at any of its checkpoints. The
+    /// structure-decomposition cache is off: a decomposition repaired
+    /// before the trip is a valid entry a fresh engine does not have, and
+    /// lineages rebuilt over it may differ from a fresh engine's in the
+    /// last bit.
+    #[test]
+    fn updates_under_tiny_deadlines_leave_the_caches_exact(
+        n in 6usize..14,
+        seed in 0u64..1000,
+        deadline_us in 0u64..1000,
+    ) {
+        let engine = Engine::builder().without_decomposition_cache().build();
+        check_update_deadline_contract(&engine, n, seed, deadline_us);
+    }
 
     #[test]
     fn tid_deadlines_are_precise_and_cache_clean(
